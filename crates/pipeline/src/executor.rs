@@ -65,8 +65,7 @@ impl Executor for SerialExecutor {
     }
 }
 
-/// Runs units on scoped worker threads pulling from a shared queue
-/// (absorbing the legacy `ExecMode::Parallel` behavior).
+/// Runs units on scoped worker threads pulling from a shared queue.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ThreadExecutor {
     /// Worker count; `0` uses the machine's available parallelism.  The

@@ -79,11 +79,13 @@ pub mod store;
 pub mod sweep;
 pub mod workload;
 
+mod daemon;
 mod pipeline;
 
 pub use cache::{
     CacheStats, HistogramCheck, HistogramKey, KeyCheck, ScheduleKey, UnitCheck, UnitKey,
 };
+pub use daemon::DaemonHandle;
 pub use error::PipelineError;
 pub use executor::{
     Executor, FlakyExecutor, FleetStats, SerialExecutor, SocketExecutor, SubprocessExecutor,

@@ -38,7 +38,7 @@
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -49,6 +49,7 @@ use read_core::SortCriterion;
 use timing::{DepthHistogram, OperatingCondition};
 
 use crate::cache::CacheStats;
+use crate::daemon::{Conn, DaemonHandle, Flow, LineDaemon, LineService};
 use crate::error::PipelineError;
 use crate::exec::{resolve_threads, run_indexed_threads};
 use crate::executor::SocketExecutor;
@@ -1328,7 +1329,6 @@ struct ServerShared {
     interactive_max_units: usize,
     default_timeout_ms: u64,
     fleet: Vec<String>,
-    shutdown: AtomicBool,
     next_id: AtomicU64,
 }
 
@@ -1337,13 +1337,15 @@ struct ServerShared {
 ///
 /// One connection handler thread per client; every request's units flow
 /// through the daemon-wide `UnitScheduler`.  `shutdown` (the in-band
-/// control command) stops accepting and drains in-flight connections before
-/// [`ServeServer::run`] returns.
+/// control command) stops accepting, closes idle connections and waits only
+/// for in-flight requests before [`ServeServer::run`] returns.
 pub struct ServeServer {
-    listener: TcpListener,
-    addr: SocketAddr,
-    shared: Arc<ServerShared>,
+    daemon: LineDaemon,
+    shared: ServerShared,
 }
+
+/// Handle to a daemon spawned with [`ServeServer::spawn`].
+pub type ServeHandle = DaemonHandle<ServeServer>;
 
 impl ServeServer {
     /// Binds the daemon to `addr` (e.g. `127.0.0.1:0` for an ephemeral
@@ -1353,30 +1355,27 @@ impl ServeServer {
     ///
     /// Returns [`PipelineError::Exec`] when the socket cannot be bound.
     pub fn bind(addr: &str, config: ServerConfig) -> Result<ServeServer, PipelineError> {
-        let listener = TcpListener::bind(addr).map_err(|e| io_err("bind", e))?;
-        let local = listener.local_addr().map_err(|e| io_err("local_addr", e))?;
+        let daemon = LineDaemon::bind(addr)?;
         let slots = resolve_threads(config.slots, usize::MAX);
         let store = config
             .store
             .unwrap_or_else(|| Arc::new(MemoryStore::new()) as Arc<dyn ArtifactStore>);
         Ok(ServeServer {
-            listener,
-            addr: local,
-            shared: Arc::new(ServerShared {
+            daemon,
+            shared: ServerShared {
                 sched: UnitScheduler::new(slots),
                 store,
                 interactive_max_units: config.interactive_max_units,
                 default_timeout_ms: config.default_timeout_ms,
                 fleet: config.fleet,
-                shutdown: AtomicBool::new(false),
                 next_id: AtomicU64::new(1),
-            }),
+            },
         })
     }
 
     /// The bound socket address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.daemon.local_addr()
     }
 
     /// Executor-pool width the daemon resolved from its configuration.
@@ -1385,36 +1384,14 @@ impl ServeServer {
     }
 
     /// Serves connections until a `shutdown` command arrives, then drains:
-    /// the accept loop stops and every in-flight connection finishes before
-    /// this returns (scoped handler threads join on exit).
+    /// the accept loop stops, idle connections are closed, and only the
+    /// requests already in flight finish before this returns.
     ///
     /// # Errors
     ///
     /// Returns [`PipelineError::Exec`] on a fatal accept error.
     pub fn run(self) -> Result<(), PipelineError> {
-        let shared = &self.shared;
-        let addr = self.addr;
-        std::thread::scope(|scope| {
-            loop {
-                let (stream, _) = match self.listener.accept() {
-                    Ok(pair) => pair,
-                    Err(e) => {
-                        if shared.shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        return Err(io_err("accept", e));
-                    }
-                };
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    // The wake-up connection (or a late client): drop it and
-                    // stop accepting; scope exit drains the handlers.
-                    drop(stream);
-                    break;
-                }
-                scope.spawn(move || handle_connection(shared, stream, addr));
-            }
-            Ok(())
-        })
+        self.daemon.run(&self.shared)
     }
 
     /// Binds and runs the daemon on a background thread — the in-process
@@ -1425,128 +1402,70 @@ impl ServeServer {
     /// Propagates [`ServeServer::bind`] failures.
     pub fn spawn(addr: &str, config: ServerConfig) -> Result<ServeHandle, PipelineError> {
         let server = ServeServer::bind(addr, config)?;
-        let local = server.local_addr();
-        let join = std::thread::spawn(move || server.run());
-        Ok(ServeHandle { addr: local, join })
+        Ok(DaemonHandle::spawn(server.local_addr(), move || {
+            server.run()
+        }))
     }
-}
-
-/// Handle to a daemon spawned with [`ServeServer::spawn`].
-pub struct ServeHandle {
-    addr: SocketAddr,
-    join: std::thread::JoinHandle<Result<(), PipelineError>>,
 }
 
 impl ServeHandle {
-    /// The daemon's socket address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
     /// A client connected to this daemon.
     pub fn client(&self) -> ServeClient {
-        ServeClient::new(self.addr)
-    }
-
-    /// Waits for the daemon to exit (send `shutdown` first, or this blocks
-    /// until the server thread ends).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the server's exit result; a panicked server thread
-    /// surfaces as [`PipelineError::Exec`].
-    pub fn join(self) -> Result<(), PipelineError> {
-        self.join
-            .join()
-            .map_err(|_| PipelineError::exec("server thread panicked"))?
+        ServeClient::new(self.addr())
     }
 }
 
-fn handle_connection(shared: &ServerShared, stream: TcpStream, self_addr: SocketAddr) {
-    // Generous read timeout so an idle client cannot pin the drain forever.
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(120)));
-    let peer = stream.try_clone();
-    let Ok(write_half) = peer else { return };
-    let mut writer = std::io::BufWriter::new(write_half);
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { return };
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let done = dispatch_line(shared, line, &mut writer, self_addr);
-        if writer.flush().is_err() || done {
-            return;
-        }
-    }
-}
-
-/// Handles one protocol line; returns `true` when the connection should
-/// close (shutdown acknowledged).
-fn dispatch_line(
-    shared: &ServerShared,
-    line: &str,
-    writer: &mut impl Write,
-    self_addr: SocketAddr,
-) -> bool {
-    match line.split_whitespace().next() {
-        Some("ping") => {
-            let _ = writeln!(writer, "ok pong\n.");
-            false
-        }
-        Some("stats") => {
-            let stats = store_level_stats(&shared.store);
-            let _ = writeln!(
-                writer,
-                "ok stats\nstats {}\n.",
-                escape_wire(&stats.to_json())
-            );
-            false
-        }
-        Some("shutdown") => {
-            let _ = writeln!(writer, "ok shutdown\n.");
-            let _ = writer.flush();
-            shared.shutdown.store(true, Ordering::SeqCst);
-            // Wake the acceptor so it observes the flag (std has no
-            // signal/select machinery; a self-connection is the portable
-            // nudge).
-            let _ = TcpStream::connect(self_addr);
-            true
-        }
-        Some("req") => {
-            let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
-            let started = Instant::now();
-            match process_request(shared, line) {
-                Ok(outcome) => {
-                    let latency_us = started.elapsed().as_micros();
-                    let _ = writeln!(
-                        writer,
-                        "ok id={id} kind={} units={} priority={} latency_us={latency_us}",
-                        outcome.kind.as_str(),
-                        outcome.units,
-                        outcome.priority.as_str()
-                    );
-                    let _ = writeln!(writer, "report {}", escape_wire(&outcome.report_json));
-                    let _ = writeln!(writer, "stats {}\n.", escape_wire(&outcome.stats.to_json()));
-                }
-                Err(e) => {
-                    let _ = writeln!(writer, "err id={id} msg={}\n.", escape_wire(&e.to_string()));
+impl LineService for ServerShared {
+    fn dispatch(&self, line: &str, conn: &mut Conn) -> Flow {
+        let writer = &mut conn.writer;
+        match line.split_whitespace().next() {
+            Some("ping") => {
+                let _ = writeln!(writer, "ok pong\n.");
+            }
+            Some("stats") => {
+                let stats = store_level_stats(&self.store);
+                let _ = writeln!(
+                    writer,
+                    "ok stats\nstats {}\n.",
+                    escape_wire(&stats.to_json())
+                );
+            }
+            Some("shutdown") => {
+                let _ = writeln!(writer, "ok shutdown\n.");
+                return Flow::Shutdown;
+            }
+            Some("req") => {
+                let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+                let started = Instant::now();
+                match process_request(self, line) {
+                    Ok(outcome) => {
+                        let latency_us = started.elapsed().as_micros();
+                        let _ = writeln!(
+                            writer,
+                            "ok id={id} kind={} units={} priority={} latency_us={latency_us}",
+                            outcome.kind.as_str(),
+                            outcome.units,
+                            outcome.priority.as_str()
+                        );
+                        let _ = writeln!(writer, "report {}", escape_wire(&outcome.report_json));
+                        let _ =
+                            writeln!(writer, "stats {}\n.", escape_wire(&outcome.stats.to_json()));
+                    }
+                    Err(e) => {
+                        let _ =
+                            writeln!(writer, "err id={id} msg={}\n.", escape_wire(&e.to_string()));
+                    }
                 }
             }
-            false
+            _ => {
+                let _ = writeln!(writer, "err id=0 msg={}\n.", escape_wire("unknown command"));
+            }
         }
-        _ => {
-            let _ = writeln!(writer, "err id=0 msg={}\n.", escape_wire("unknown command"));
-            false
-        }
+        Flow::Continue
     }
 }
 
 fn process_request(shared: &ServerShared, line: &str) -> Result<JobOutcome, PipelineError> {
-    if shared.shutdown.load(Ordering::SeqCst) {
-        return Err(PipelineError::exec("server is shutting down"));
-    }
     let request = ServeRequest::decode(line)?;
     let job = RequestJob::build(request, Arc::clone(&shared.store))?;
     job.run(
@@ -1776,7 +1695,6 @@ struct WorkerShared {
     die_after_units: Option<u64>,
     served: AtomicU64,
     died: AtomicBool,
-    shutdown: AtomicBool,
 }
 
 /// The fleet worker daemon: the remote analog of handing
@@ -1803,10 +1721,12 @@ struct WorkerShared {
 /// that receives `!`/close instead of `ok window=` knows it is talking to
 /// an old lock-step worker and falls back to window 1.
 pub struct WorkerServer {
-    listener: TcpListener,
-    addr: SocketAddr,
-    shared: Arc<WorkerShared>,
+    daemon: LineDaemon,
+    shared: WorkerShared,
 }
+
+/// Handle to a worker spawned with [`WorkerServer::spawn`].
+pub type WorkerHandle = DaemonHandle<WorkerServer>;
 
 impl WorkerServer {
     /// Binds a worker to `addr` (e.g. `127.0.0.1:0` for an ephemeral test
@@ -1816,32 +1736,30 @@ impl WorkerServer {
     ///
     /// Returns [`PipelineError::Exec`] when the socket cannot be bound.
     pub fn bind(addr: &str, config: WorkerConfig) -> Result<WorkerServer, PipelineError> {
-        let listener = TcpListener::bind(addr).map_err(|e| io_err("bind", e))?;
-        let local = listener.local_addr().map_err(|e| io_err("local_addr", e))?;
+        let daemon = LineDaemon::bind(addr)?;
         let store = config
             .store
             .unwrap_or_else(|| Arc::new(MemoryStore::new()) as Arc<dyn ArtifactStore>);
         Ok(WorkerServer {
-            listener,
-            addr: local,
-            shared: Arc::new(WorkerShared {
+            daemon,
+            shared: WorkerShared {
                 store,
                 die_after_units: config.die_after_units,
                 served: AtomicU64::new(0),
                 died: AtomicBool::new(false),
-                shutdown: AtomicBool::new(false),
-            }),
+            },
         })
     }
 
     /// The bound socket address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.daemon.local_addr()
     }
 
-    /// Serves driver connections until `shutdown` arrives (drains in-flight
-    /// connections before returning) — or until the injected death
-    /// triggers, which also stops the accept loop.
+    /// Serves driver connections until `shutdown` arrives — or until the
+    /// injected death triggers — then drains: idle connections are closed
+    /// and only the plan sessions in flight run to their end before this
+    /// returns.
     ///
     /// # Errors
     ///
@@ -1849,27 +1767,7 @@ impl WorkerServer {
     /// design — after an injected [`WorkerConfig::die_after_units`] death,
     /// so a worker *binary* exits non-zero exactly like a crashed process.
     pub fn run(self) -> Result<(), PipelineError> {
-        let shared = &self.shared;
-        let addr = self.addr;
-        std::thread::scope(|scope| {
-            loop {
-                let (stream, _) = match self.listener.accept() {
-                    Ok(pair) => pair,
-                    Err(e) => {
-                        if shared.shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        return Err(io_err("accept", e));
-                    }
-                };
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    drop(stream);
-                    break;
-                }
-                scope.spawn(move || handle_worker_connection(shared, stream, addr));
-            }
-            Ok(())
-        })?;
+        self.daemon.run(&self.shared)?;
         if self.shared.died.load(Ordering::SeqCst) {
             return Err(PipelineError::exec(format!(
                 "worker died (injected) after {} served units",
@@ -1887,9 +1785,9 @@ impl WorkerServer {
     /// Propagates [`WorkerServer::bind`] failures.
     pub fn spawn(addr: &str, config: WorkerConfig) -> Result<WorkerHandle, PipelineError> {
         let server = WorkerServer::bind(addr, config)?;
-        let local = server.local_addr();
-        let join = std::thread::spawn(move || server.run());
-        Ok(WorkerHandle { addr: local, join })
+        Ok(DaemonHandle::spawn(server.local_addr(), move || {
+            server.run()
+        }))
     }
 
     /// Asks the worker at `addr` to stop accepting, drain and exit.
@@ -1920,162 +1818,128 @@ impl WorkerServer {
     }
 }
 
-/// Handle to a worker spawned with [`WorkerServer::spawn`].
-pub struct WorkerHandle {
-    addr: SocketAddr,
-    join: std::thread::JoinHandle<Result<(), PipelineError>>,
-}
-
-impl WorkerHandle {
-    /// The worker's socket address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Waits for the worker to exit and returns its run result (an `Err`
-    /// for an injected death — the in-process analog of a non-zero exit).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the worker's exit result; a panicked worker thread
-    /// surfaces as [`PipelineError::Exec`].
-    pub fn join(self) -> Result<(), PipelineError> {
-        self.join
-            .join()
-            .map_err(|_| PipelineError::exec("worker thread panicked"))?
-    }
-}
-
-fn handle_worker_connection(shared: &WorkerShared, stream: TcpStream, self_addr: SocketAddr) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(120)));
-    let _ = stream.set_nodelay(true);
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let mut writer = std::io::BufWriter::new(write_half);
-    let mut reader = BufReader::new(stream);
-    // Control / handshake phase: answer pings until a spec line arrives.
-    let job = loop {
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => return,
-            Ok(_) => {}
-        }
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
+impl LineService for WorkerShared {
+    /// The control / handshake phase answers `ping`, `shutdown` and the
+    /// `window=` negotiation; a spec line opens the plan session, which
+    /// owns the rest of the connection.
+    fn dispatch(&self, line: &str, conn: &mut Conn) -> Flow {
+        let writer = &mut conn.writer;
         if line == "ping" {
-            if writeln!(writer, "ok pong").is_err() || writer.flush().is_err() {
-                return;
-            }
-            continue;
+            let _ = writeln!(writer, "ok pong");
+            return Flow::Continue;
         }
         if line == "shutdown" {
             let _ = writeln!(writer, "ok shutdown");
-            let _ = writer.flush();
-            shared.shutdown.store(true, Ordering::SeqCst);
-            // Wake the acceptor so it observes the flag.
-            let _ = TcpStream::connect(self_addr);
-            return;
+            return Flow::Shutdown;
         }
         if let Some(requested) = line.strip_prefix("window=") {
             // Streamed-protocol negotiation: echo the accepted window
             // (serving is FIFO regardless — requests queue in the socket —
             // so the cap only bounds how far drivers run ahead).
-            match requested.parse::<usize>() {
+            return match requested.parse::<usize>() {
                 Ok(n) if n >= 1 => {
-                    if writeln!(writer, "ok window={}", n.min(1024)).is_err()
-                        || writer.flush().is_err()
-                    {
-                        return;
-                    }
-                    continue;
+                    let _ = writeln!(writer, "ok window={}", n.min(1024));
+                    Flow::Continue
                 }
                 _ => {
                     let _ = writeln!(writer, "!bad window line {line:?}");
-                    let _ = writer.flush();
-                    return;
+                    Flow::Close
+                }
+            };
+        }
+        let job = match ServeRequest::decode(line)
+            .and_then(|request| RequestJob::build(request, Arc::clone(&self.store)))
+        {
+            Ok(job) => job,
+            Err(e) => {
+                let _ = writeln!(writer, "!{e}");
+                return Flow::Close;
+            }
+        };
+        let plan = match job.plan() {
+            Ok(plan) => plan,
+            Err(e) => {
+                let _ = writeln!(writer, "!{e}");
+                return Flow::Close;
+            }
+        };
+        // Batched store warm-up: seed the plan's unit-result cache with one
+        // mget round trip (per batch) instead of a per-unit get during the
+        // stream — the O(batches) warm-rerun path.
+        plan.prefetch_units();
+        let mut units = UnitLines {
+            inner: &mut conn.reader,
+            worker: self,
+            line: String::new(),
+            pos: 0,
+            answering: false,
+            killed: false,
+        };
+        if writeln!(conn.writer, "ok units={}", plan.len()).is_ok() && conn.writer.flush().is_ok() {
+            let _ = plan.serve(&mut units, &mut conn.writer);
+        }
+        // Session over (EOF or death): publish this connection's buffered
+        // write-behind puts so other fleet members (and warm reruns) see
+        // them.
+        self.store.flush();
+        if units.killed {
+            Flow::Shutdown
+        } else {
+            Flow::Close
+        }
+    }
+}
+
+/// The unit stream of one worker plan session, with
+/// [`WorkerConfig::die_after_units`] applied: once the worker has answered
+/// that many units, the next unit line reads as end of stream and the
+/// session is marked `killed`.  The outstanding unit gets no reply and the
+/// worker stops — exactly what a crashed process looks like to the driver.
+struct UnitLines<'a, R> {
+    inner: R,
+    worker: &'a WorkerShared,
+    line: String,
+    pos: usize,
+    /// The unit line handed out last is answered by the time the next one
+    /// is asked for ([`WorkPlan::serve`] replies in lock-step).
+    answering: bool,
+    killed: bool,
+}
+
+impl<R: BufRead> std::io::Read for UnitLines<'_, R> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.fill_buf()?.read(buf)?;
+        self.consume(n);
+        Ok(n)
+    }
+}
+
+impl<R: BufRead> BufRead for UnitLines<'_, R> {
+    fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+        if self.pos == self.line.len() && !self.killed {
+            if std::mem::take(&mut self.answering) {
+                self.worker.served.fetch_add(1, Ordering::Relaxed);
+            }
+            self.line.clear();
+            self.pos = 0;
+            self.inner.read_line(&mut self.line)?;
+            if !self.line.trim().is_empty() {
+                let worker = self.worker;
+                self.killed = worker.die_after_units.is_some_and(|limit| {
+                    worker.served.load(Ordering::Relaxed) >= limit
+                        && !worker.died.swap(true, Ordering::SeqCst)
+                });
+                self.answering = !self.killed;
+                if self.killed {
+                    self.line.clear();
                 }
             }
         }
-        let spec = ServeRequest::decode(line)
-            .and_then(|request| RequestJob::build(request, Arc::clone(&shared.store)));
-        match spec {
-            Ok(job) => break job,
-            Err(e) => {
-                let _ = writeln!(writer, "!{e}");
-                let _ = writer.flush();
-                return;
-            }
-        }
-    };
-    let plan = match job.plan() {
-        Ok(plan) => plan,
-        Err(e) => {
-            let _ = writeln!(writer, "!{e}");
-            let _ = writer.flush();
-            return;
-        }
-    };
-    // Batched store warm-up: seed the plan's unit-result cache with one
-    // mget round trip (per batch) instead of a per-unit get during the
-    // stream — the O(batches) warm-rerun path.
-    plan.prefetch_units();
-    if writeln!(writer, "ok units={}", plan.len()).is_err() || writer.flush().is_err() {
-        shared.store.flush();
-        return;
+        Ok(&self.line.as_bytes()[self.pos..])
     }
-    serve_units(shared, &plan, &mut reader, &mut writer, self_addr);
-    // Connection drained (or died): publish this connection's buffered
-    // write-behind puts so other fleet members (and warm reruns) see them.
-    shared.store.flush();
-}
 
-/// The unit phase of a worker connection: essentially [`WorkPlan::serve`]
-/// over the socket, with the optional injected death for fault testing.
-fn serve_units(
-    shared: &WorkerShared,
-    plan: &crate::plan::WorkPlan<'_>,
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut std::io::BufWriter<TcpStream>,
-    self_addr: SocketAddr,
-) {
-    let mut line = String::new();
-    loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => return,
-            Ok(_) => {}
-        }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        if let Some(limit) = shared.die_after_units {
-            if shared.served.load(Ordering::Relaxed) >= limit
-                && !shared.died.swap(true, Ordering::SeqCst)
-            {
-                // Injected mid-stream death: drop the connection without
-                // answering the outstanding unit, and stop the whole worker
-                // (run() will report the death) — exactly what a crashed
-                // process looks like to the driver.
-                shared.shutdown.store(true, Ordering::SeqCst);
-                let _ = TcpStream::connect(self_addr);
-                return;
-            }
-        }
-        let reply = match WorkUnit::decode(trimmed) {
-            Ok(unit) => match plan.run_unit_spec(&unit) {
-                Ok(result) => result.encode(),
-                Err(e) => format!("!{e}"),
-            },
-            Err(e) => format!("!{e}"),
-        };
-        if writeln!(writer, "{reply}").is_err() || writer.flush().is_err() {
-            return;
-        }
-        shared.served.fetch_add(1, Ordering::Relaxed);
+    fn consume(&mut self, amt: usize) {
+        self.pos += amt;
     }
 }
 

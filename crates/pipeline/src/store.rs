@@ -47,12 +47,13 @@ use std::collections::HashMap;
 use std::fmt::Debug;
 use std::fs;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use crate::daemon::{Conn, DaemonHandle, Flow, LineDaemon, LineService};
 use crate::error::PipelineError;
 use crate::plan::{escape_wire, unescape};
 
@@ -969,14 +970,16 @@ impl ArtifactStore for RemoteStore {
 /// The store daemon: serves the remote-store wire protocol over TCP,
 /// backed by any [`ArtifactStore`] (typically a [`DiskStore`], making the
 /// fleet's shared namespace persistent).  One handler thread per
-/// connection; the in-band `shutdown` command stops the accept loop and
-/// drains in-flight connections before [`StoreServer::run`] returns.
+/// connection; the in-band `shutdown` command stops the accept loop, closes
+/// idle connections and waits only for in-flight requests before
+/// [`StoreServer::run`] returns.
 pub struct StoreServer {
-    listener: TcpListener,
-    addr: SocketAddr,
+    daemon: LineDaemon,
     store: Arc<dyn ArtifactStore>,
-    shutdown: AtomicBool,
 }
+
+/// Handle to a daemon spawned with [`StoreServer::spawn`].
+pub type StoreHandle = DaemonHandle<StoreServer>;
 
 impl StoreServer {
     /// Binds the daemon to `addr` (use port 0 for an ephemeral test port).
@@ -985,50 +988,25 @@ impl StoreServer {
     ///
     /// Returns [`PipelineError::Exec`] when the socket cannot be bound.
     pub fn bind(addr: &str, store: Arc<dyn ArtifactStore>) -> Result<StoreServer, PipelineError> {
-        let listener = TcpListener::bind(addr)
-            .map_err(|e| PipelineError::exec(format!("store daemon bind {addr}: {e}")))?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| PipelineError::exec(format!("store daemon local_addr: {e}")))?;
         Ok(StoreServer {
-            listener,
-            addr,
+            daemon: LineDaemon::bind(addr)?,
             store,
-            shutdown: AtomicBool::new(false),
         })
     }
 
     /// The bound socket address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.daemon.local_addr()
     }
 
-    /// Serves connections until a `shutdown` command arrives, then drains.
+    /// Serves connections until a `shutdown` command arrives, then drains:
+    /// idle connections are closed and only in-flight requests finish.
     ///
     /// # Errors
     ///
     /// Returns [`PipelineError::Exec`] on a fatal accept error.
     pub fn run(self) -> Result<(), PipelineError> {
-        std::thread::scope(|scope| {
-            loop {
-                let (stream, _) = match self.listener.accept() {
-                    Ok(pair) => pair,
-                    Err(e) => {
-                        if self.shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        return Err(PipelineError::exec(format!("store daemon accept: {e}")));
-                    }
-                };
-                if self.shutdown.load(Ordering::SeqCst) {
-                    drop(stream);
-                    break;
-                }
-                let server = &self;
-                scope.spawn(move || server.handle_connection(stream));
-            }
-            Ok(())
-        })
+        self.daemon.run(&self)
     }
 
     /// Binds and runs the daemon on a background thread — the in-process
@@ -1039,33 +1017,15 @@ impl StoreServer {
     /// Propagates [`StoreServer::bind`] failures.
     pub fn spawn(addr: &str, store: Arc<dyn ArtifactStore>) -> Result<StoreHandle, PipelineError> {
         let server = StoreServer::bind(addr, store)?;
-        let addr = server.local_addr();
-        let join = std::thread::spawn(move || server.run());
-        Ok(StoreHandle { addr, join })
+        Ok(DaemonHandle::spawn(server.local_addr(), move || {
+            server.run()
+        }))
     }
+}
 
-    fn handle_connection(&self, stream: TcpStream) {
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(120)));
-        let Ok(write_half) = stream.try_clone() else {
-            return;
-        };
-        let mut writer = std::io::BufWriter::new(write_half);
-        for line in BufReader::new(stream).lines() {
-            let Ok(line) = line else { return };
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let done = self.dispatch(line, &mut writer);
-            if writer.flush().is_err() || done {
-                return;
-            }
-        }
-    }
-
-    /// Handles one protocol line; returns `true` when the connection
-    /// should close (shutdown acknowledged).
-    fn dispatch(&self, line: &str, writer: &mut impl std::io::Write) -> bool {
+impl LineService for StoreServer {
+    fn dispatch(&self, line: &str, conn: &mut Conn) -> Flow {
+        let writer = &mut conn.writer;
         let reply_err = |writer: &mut dyn std::io::Write, msg: &str| {
             let _ = writeln!(writer, "err msg={}", escape_wire(msg));
         };
@@ -1083,10 +1043,7 @@ impl StoreServer {
             }
             Some("shutdown") => {
                 let _ = writeln!(writer, "ok shutdown");
-                let _ = writer.flush();
-                self.shutdown.store(true, Ordering::SeqCst);
-                let _ = TcpStream::connect(self.addr);
-                return true;
+                return Flow::Shutdown;
             }
             Some("get") => match Self::decode_entry_fields(line, false) {
                 Some((kind, key, check, _)) => {
@@ -1154,9 +1111,11 @@ impl StoreServer {
             }
             _ => reply_err(writer, "unknown command"),
         }
-        false
+        Flow::Continue
     }
+}
 
+impl StoreServer {
     /// Decodes `kind=`/`key=`/`check=` (and, for puts, `payload=`) from a
     /// request line.
     #[allow(clippy::type_complexity)]
@@ -1205,34 +1164,10 @@ impl StoreServer {
     }
 }
 
-/// Handle to a daemon spawned with [`StoreServer::spawn`].
-pub struct StoreHandle {
-    addr: SocketAddr,
-    join: std::thread::JoinHandle<Result<(), PipelineError>>,
-}
-
 impl StoreHandle {
-    /// The daemon's socket address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
     /// A [`RemoteStore`] client connected to this daemon.
     pub fn client(&self) -> RemoteStore {
-        RemoteStore::new(self.addr.to_string())
-    }
-
-    /// Waits for the daemon to exit (send `shutdown` first — e.g.
-    /// [`RemoteStore::shutdown_daemon`] — or this blocks forever).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the server's exit result; a panicked server thread
-    /// surfaces as [`PipelineError::Exec`].
-    pub fn join(self) -> Result<(), PipelineError> {
-        self.join
-            .join()
-            .map_err(|_| PipelineError::exec("store daemon thread panicked"))?
+        RemoteStore::new(self.addr().to_string())
     }
 }
 

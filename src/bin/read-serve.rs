@@ -15,8 +15,8 @@
 //! local pool if the fleet fails); interactive requests always run locally.
 //!
 //! The daemon runs until a client sends the in-band `shutdown` command
-//! (e.g. `ServeClient::shutdown`), then drains in-flight requests and
-//! exits 0.  See the repo README for the wire grammar.
+//! (e.g. `ServeClient::shutdown`), then closes idle connections, waits
+//! for the requests in flight and exits 0.  See the repo README for the wire grammar.
 
 use std::process::ExitCode;
 use std::sync::Arc;
