@@ -17,8 +17,9 @@
 //! delay while a lock-step peer pays a full round trip per unit.
 //!
 //! * `window2_vs_lockstep` / `window8_vs_lockstep` — before =
-//!   `SocketExecutor::window(1)` (the pre-windowed lock-step protocol),
-//!   after = the same fleet driven with 2 or 8 units in flight per worker.
+//!   `SocketExecutor::window(1)` (lock-step dispatch: one unit in flight
+//!   per worker, negotiated like any other window), after = the same
+//!   fleet driven with 2 or 8 units in flight per worker.
 //!   Workers are warm (the shared store memoizes unit artifacts and each
 //!   connection prefetches them in `mget` batches), so the measured cost
 //!   is dispatch, which is the point.

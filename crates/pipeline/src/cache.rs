@@ -765,174 +765,12 @@ impl<A: ArtifactKind> VerifiedCache<A> {
     }
 }
 
-/// A thread-safe schedule cache (see [`VerifiedCache`]).
-#[derive(Debug, Default)]
-pub struct ScheduleCache {
-    inner: VerifiedCache<ScheduleArtifact>,
-}
-
-impl ScheduleCache {
-    /// Creates an empty cache with no backing store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an empty cache over an optional backing store.
-    pub fn with_store(store: Option<Arc<dyn ArtifactStore>>) -> Self {
-        ScheduleCache {
-            inner: VerifiedCache::with_store(store),
-        }
-    }
-
-    /// Returns the cached schedule for `key`, or computes, caches and
-    /// returns it.  `check` is the full (name + dims) key verified against
-    /// the stored entry: a hash collision is detected rather than served,
-    /// and its lookup computes a fresh schedule without touching the cache.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the compute closure's error without caching anything.
-    pub fn get_or_compute(
-        &self,
-        key: ScheduleKey,
-        check: KeyCheck,
-        compute: impl FnOnce() -> Result<ComputeSchedule, PipelineError>,
-    ) -> Result<Arc<ComputeSchedule>, PipelineError> {
-        self.inner.get_or_compute(key, check, compute)
-    }
-
-    /// Current counters (schedule fields only; the histogram/unit/store
-    /// fields of the combined [`CacheStats`] are zero —
-    /// [`crate::ReadPipeline::cache_stats`] fills them from the other
-    /// caches and the store).
-    pub fn stats(&self) -> CacheStats {
-        let (hits, misses, collisions, entries) = self.inner.counters();
-        CacheStats {
-            hits,
-            misses,
-            collisions,
-            entries,
-            ..CacheStats::default()
-        }
-    }
-
-    /// Drops every cached schedule and resets the counters.
-    pub fn clear(&self) {
-        self.inner.clear();
-    }
-}
-
-/// A thread-safe triggered-depth-histogram cache (see [`VerifiedCache`]).
-///
-/// Keyed like the schedule cache ([`HistogramKey`]), it amortizes the cycle
-/// simulation across the corners, dies and repeated runs of a sweep: the
-/// histogram of a (workload, source) pair is corner-independent, so one
-/// simulation pass serves the whole grid.
-#[derive(Debug, Default)]
-pub struct HistogramCache {
-    inner: VerifiedCache<HistogramArtifact>,
-}
-
-impl HistogramCache {
-    /// Creates an empty cache with no backing store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an empty cache over an optional backing store.
-    pub fn with_store(store: Option<Arc<dyn ArtifactStore>>) -> Self {
-        HistogramCache {
-            inner: VerifiedCache::with_store(store),
-        }
-    }
-
-    /// Returns the cached histogram for `key`, or simulates, caches and
-    /// returns it.  `check` is the full (names + dims) key verified against
-    /// the stored entry — see [`ScheduleCache::get_or_compute`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the compute closure's error without caching anything.
-    pub fn get_or_compute(
-        &self,
-        key: HistogramKey,
-        check: HistogramCheck,
-        compute: impl FnOnce() -> Result<DepthHistogram, PipelineError>,
-    ) -> Result<Arc<DepthHistogram>, PipelineError> {
-        self.inner.get_or_compute(key, check, compute)
-    }
-
-    /// Current counters: (hits, misses, collisions, entries).
-    pub fn counters(&self) -> (u64, u64, u64, usize) {
-        self.inner.counters()
-    }
-
-    /// Drops every cached histogram and resets the counters.
-    pub fn clear(&self) {
-        self.inner.clear();
-    }
-}
-
-/// A thread-safe memoized work-unit-result cache (see [`VerifiedCache`]).
-///
-/// Histogram units flow through the [`HistogramCache`] instead (their
-/// payload *is* the histogram); this cache memoizes the remaining unit
-/// classes — Monte-Carlo shards and accuracy points — so a rerun of any
-/// [`crate::WorkPlan`] executes zero units fresh.
-#[derive(Debug, Default)]
-pub struct UnitCache {
-    inner: VerifiedCache<UnitArtifact>,
-}
-
-impl UnitCache {
-    /// Creates an empty cache with no backing store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an empty cache over an optional backing store.
-    pub fn with_store(store: Option<Arc<dyn ArtifactStore>>) -> Self {
-        UnitCache {
-            inner: VerifiedCache::with_store(store),
-        }
-    }
-
-    /// Returns the memoized result for `key`, or executes, caches and
-    /// returns it — see [`ScheduleCache::get_or_compute`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the compute closure's error without caching anything.
-    pub fn get_or_compute(
-        &self,
-        key: UnitKey,
-        check: UnitCheck,
-        compute: impl FnOnce() -> Result<UnitResult, PipelineError>,
-    ) -> Result<Arc<UnitResult>, PipelineError> {
-        self.inner.get_or_compute(key, check, compute)
-    }
-
-    /// Batched store prefetch into the memory layer — see
-    /// [`VerifiedCache::prefetch`].
-    pub fn prefetch(&self, entries: &[(UnitKey, UnitCheck)]) -> usize {
-        self.inner.prefetch(entries)
-    }
-
-    /// Current counters: (hits, misses, collisions, entries).
-    pub fn counters(&self) -> (u64, u64, u64, usize) {
-        self.inner.counters()
-    }
-
-    /// Drops every memoized result and resets the counters.
-    pub fn clear(&self) {
-        self.inner.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::store::{DiskStore, MemoryStore};
+
+    type ScheduleCache = VerifiedCache<ScheduleArtifact>;
 
     fn key(n: u64) -> ScheduleKey {
         ScheduleKey {
@@ -957,9 +795,7 @@ mod tests {
         let a = cache.get_or_compute(key(1), check("a"), make).unwrap();
         let b = cache.get_or_compute(key(1), check("a"), make).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
-        assert_eq!(stats.collisions, 0);
+        assert_eq!(cache.counters(), (1, 1, 0, 1));
     }
 
     #[test]
@@ -975,8 +811,8 @@ mod tests {
                 Ok(ComputeSchedule::baseline(8, 4, 4))
             })
             .unwrap();
-        assert_eq!(cache.stats().entries, 2);
-        assert_eq!(cache.stats().misses, 2);
+        let (_, misses, _, entries) = cache.counters();
+        assert_eq!((misses, entries), (2, 2));
     }
 
     #[test]
@@ -984,14 +820,14 @@ mod tests {
         let cache = ScheduleCache::new();
         let err = cache.get_or_compute(key(3), check("a"), || Err(PipelineError::builder("nope")));
         assert!(err.is_err());
-        assert_eq!(cache.stats().entries, 0);
+        assert_eq!(cache.counters().3, 0);
         // A later successful compute still works.
         cache
             .get_or_compute(key(3), check("a"), || {
                 Ok(ComputeSchedule::baseline(8, 4, 2))
             })
             .unwrap();
-        assert_eq!(cache.stats().entries, 1);
+        assert_eq!(cache.counters().3, 1);
     }
 
     #[test]
@@ -1011,16 +847,16 @@ mod tests {
         // The colliding lookup got its own fresh schedule, not the cached one.
         assert!(!Arc::ptr_eq(&first, &collided));
         assert_eq!(*collided, ComputeSchedule::baseline(8, 4, 4));
-        let stats = cache.stats();
-        assert_eq!(stats.collisions, 1);
-        assert_eq!(stats.entries, 1, "collisions never overwrite the entry");
+        let (_, _, collisions, entries) = cache.counters();
+        assert_eq!(collisions, 1);
+        assert_eq!(entries, 1, "collisions never overwrite the entry");
         // The original full key still hits.
         cache
             .get_or_compute(key(1), check("a"), || {
                 Ok(ComputeSchedule::baseline(8, 4, 2))
             })
             .unwrap();
-        assert_eq!(cache.stats().hits, 1);
+        assert_eq!(cache.counters().0, 1);
     }
 
     #[test]
@@ -1072,7 +908,7 @@ mod tests {
 
     #[test]
     fn histogram_cache_hits_and_detects_collisions() {
-        let cache = HistogramCache::new();
+        let cache = VerifiedCache::<HistogramArtifact>::new();
         let key = HistogramKey {
             source: 1,
             workload: 2,
@@ -1111,7 +947,7 @@ mod tests {
             })
             .unwrap();
         cache.clear();
-        assert_eq!(cache.stats(), CacheStats::default());
+        assert_eq!(cache.counters(), (0, 0, 0, 0));
     }
 
     #[test]
@@ -1123,7 +959,7 @@ mod tests {
                 Ok(ComputeSchedule::baseline(8, 4, 2))
             })
             .unwrap();
-        assert_eq!(first.stats().misses, 1);
+        assert_eq!(first.counters().1, 1);
         assert_eq!(store.stats().writes, 1);
 
         // A second cache over the same store: no fresh computation at all.
@@ -1134,15 +970,15 @@ mod tests {
             })
             .unwrap();
         assert_eq!(*served, ComputeSchedule::baseline(8, 4, 2));
-        let stats = second.stats();
-        assert_eq!((stats.hits, stats.misses), (0, 0), "store hit, not a miss");
+        let (hits, misses, _, _) = second.counters();
+        assert_eq!((hits, misses), (0, 0), "store hit, not a miss");
         assert_eq!(store.stats().hits, 1);
         // The store-served value is admitted to memory: a further lookup is
         // a plain memory hit.
         second
             .get_or_compute(key(1), check("a"), || panic!("must be served from memory"))
             .unwrap();
-        assert_eq!(second.stats().hits, 1);
+        assert_eq!(second.counters().0, 1);
     }
 
     #[test]
@@ -1161,7 +997,7 @@ mod tests {
             })
             .unwrap();
         assert_eq!(*value, ComputeSchedule::baseline(8, 4, 2));
-        assert_eq!(cache.stats().misses, 1, "corrupt payload → fresh compute");
+        assert_eq!(cache.counters().1, 1, "corrupt payload → fresh compute");
         assert_eq!(store.stats().corrupt, 1);
         // The recomputed artifact was rewritten: a fresh cache now loads it.
         let fresh = ScheduleCache::with_store(Some(Arc::clone(&store) as Arc<dyn ArtifactStore>));
@@ -1183,7 +1019,7 @@ mod tests {
             })
             .unwrap();
 
-        let hists = HistogramCache::with_store(Some(Arc::clone(&store)));
+        let hists = VerifiedCache::<HistogramArtifact>::with_store(Some(Arc::clone(&store)));
         let hkey = HistogramKey {
             source: 1,
             workload: 2,
@@ -1202,7 +1038,7 @@ mod tests {
             })
             .unwrap();
 
-        let units = UnitCache::with_store(Some(Arc::clone(&store)));
+        let units = VerifiedCache::<UnitArtifact>::with_store(Some(Arc::clone(&store)));
         let ukey = UnitKey { plan: 5, unit: 6 };
         let ucheck = UnitCheck {
             plan: "sig".into(),
@@ -1227,13 +1063,13 @@ mod tests {
                 .unwrap(),
             *schedule
         );
-        let h2 = HistogramCache::with_store(Some(Arc::clone(&store2)));
+        let h2 = VerifiedCache::<HistogramArtifact>::with_store(Some(Arc::clone(&store2)));
         assert_eq!(
             *h2.get_or_compute(hkey, hcheck, || panic!("persisted"))
                 .unwrap(),
             *hist
         );
-        let u2 = UnitCache::with_store(Some(Arc::clone(&store2)));
+        let u2 = VerifiedCache::<UnitArtifact>::with_store(Some(Arc::clone(&store2)));
         assert_eq!(
             *u2.get_or_compute(ukey, ucheck, || panic!("persisted"))
                 .unwrap(),

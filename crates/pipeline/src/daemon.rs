@@ -1,11 +1,14 @@
 //! The line-daemon shell shared by `read-store`, `read-worker` and
-//! `read-serve`.
+//! `read-serve`, and the one client that talks to all three.
 //!
 //! All three daemons speak line-delimited text over TCP, one handler thread
 //! per connection.  [`LineDaemon`] owns everything but the verbs: bind, the
 //! accept loop, socket setup, the line read loop, a registry of live
 //! connections and shutdown.  A daemon supplies a [`LineService`] that
 //! answers one request line and says what the connection does next.
+//! [`LineClient`] is the mirror on the calling side: connect, socket setup
+//! and line framing for `RemoteStore`, `ServeClient`, `SocketExecutor` and
+//! `WorkerServer::shutdown_at`.
 //!
 //! Shutdown is bounded by in-flight work.  A request counts as in flight
 //! from the moment its line is read until its reply is flushed (a worker's
@@ -14,9 +17,9 @@
 //! only for requests already running — never for an idle or dead peer.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::marker::PhantomData;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::{Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -188,6 +191,69 @@ impl LineDaemon {
         // Wake the acceptor so it observes the flag (std has no
         // signal/select machinery; a self-connection is the portable nudge).
         let _ = TcpStream::connect(self.addr);
+    }
+}
+
+/// One client connection to a line daemon.
+///
+/// Every request goes out in a single write with Nagle's algorithm off: a
+/// line split over two segments would wait out the peer's delayed ACK
+/// (~40 ms per round trip on Linux).
+#[derive(Debug)]
+pub(crate) struct LineClient {
+    reader: BufReader<TcpStream>,
+}
+
+impl LineClient {
+    /// Connects to each address `addr` resolves to in turn, waiting at most
+    /// `connect_timeout` for each; `io_timeout` bounds every later read and
+    /// write.
+    pub(crate) fn connect(
+        addr: impl ToSocketAddrs,
+        connect_timeout: Duration,
+        io_timeout: Duration,
+    ) -> io::Result<LineClient> {
+        let mut last = io::Error::new(io::ErrorKind::NotFound, "address resolved to nothing");
+        for sock_addr in addr.to_socket_addrs()? {
+            match TcpStream::connect_timeout(&sock_addr, connect_timeout) {
+                Ok(stream) => {
+                    stream.set_read_timeout(Some(io_timeout))?;
+                    stream.set_write_timeout(Some(io_timeout))?;
+                    stream.set_nodelay(true)?;
+                    return Ok(LineClient {
+                        reader: BufReader::new(stream),
+                    });
+                }
+                Err(e) => last = e,
+            }
+        }
+        Err(last)
+    }
+
+    /// Sends `line` and its newline in one write.
+    pub(crate) fn send(&mut self, line: &str) -> io::Result<()> {
+        let mut framed = String::with_capacity(line.len() + 1);
+        framed.push_str(line);
+        framed.push('\n');
+        self.reader.get_mut().write_all(framed.as_bytes())
+    }
+
+    /// Reads one line, trimmed; end of stream is an `UnexpectedEof` error.
+    pub(crate) fn recv(&mut self) -> io::Result<String> {
+        let mut line = String::new();
+        if self.reader.read_line(&mut line)? == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "connection closed",
+            ));
+        }
+        Ok(line.trim().to_string())
+    }
+
+    /// [`LineClient::send`], then [`LineClient::recv`].
+    pub(crate) fn round_trip(&mut self, line: &str) -> io::Result<String> {
+        self.send(line)?;
+        self.recv()
     }
 }
 

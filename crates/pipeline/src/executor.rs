@@ -14,7 +14,6 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
 use std::ops::Range;
 use std::path::PathBuf;
 use std::process::{Child, Command, ExitStatus, Stdio};
@@ -22,6 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use crate::daemon::LineClient;
 use crate::error::PipelineError;
 use crate::exec::{resolve_threads, run_indexed_threads};
 use crate::plan::{UnitLedger, UnitResult, WorkPlan, WorkUnit};
@@ -529,29 +529,15 @@ impl FleetStats {
     }
 }
 
-/// How a connect + handshake attempt against one worker address ended.
-enum ConnectOutcome {
-    /// Connected and the worker accepted the pipeline spec; the `usize` is
-    /// the negotiated in-flight window (1 = lock-step peer).
-    Ready(BufReader<TcpStream>, usize),
-    /// The worker is unreachable or died during the handshake; its share of
-    /// the plan is redistributed to surviving workers.
+/// Why a connect + handshake attempt against one worker address failed.
+enum ConnectError {
+    /// The worker is unreachable, died during the handshake or did not
+    /// answer it; its share of the plan is redistributed to surviving
+    /// workers.
     Down(String),
     /// The worker *answered* and rejected the spec — a configuration error
     /// that retrying on other workers cannot fix.
     Rejected(String),
-}
-
-/// How the optional `window=<n>` pre-spec negotiation ended.
-enum WindowOutcome {
-    /// The worker understands the streamed protocol and answered
-    /// `ok window=<m>`; pipeline at `min(requested, m)`.
-    Negotiated(BufReader<TcpStream>, usize),
-    /// The worker rejected (or closed on) the unknown line — an old
-    /// lock-step peer.  Reconnect fresh and drive it at window 1.
-    LockStep,
-    /// The connection itself failed.
-    Down(String),
 }
 
 /// How one response read from a live worker ended.
@@ -714,8 +700,8 @@ impl FleetShared {
 /// [`WorkPlan::serve`]):
 ///
 /// ```text
-/// driver → worker   window=<n>                (only when window > 1)
-/// worker → driver   ok window=<m>             (old peers "!"/close → window 1)
+/// driver → worker   window=<n>                (always, even for n = 1)
+/// worker → driver   ok window=<m>             (anything else = failed connect)
 /// driver → worker   <pipeline spec line>      (a ServeRequest encoding)
 /// worker → driver   ok units=<n>              (or "!<reason>" = rejected)
 /// driver → worker   <unit line>               (up to the window streamed ahead)
@@ -728,9 +714,8 @@ impl FleetShared {
 /// exchange pays on every unit.  Loss accounting stays exact — the ledger
 /// tracks each worker's in-flight *set*, results self-identify and are
 /// matched against that set out of order, and a dead connection requeues
-/// precisely the units it still held.  Old lock-step workers that do not
-/// understand the `window=` line are driven at window 1, byte-identically
-/// to before.
+/// precisely the units it still held.  Every line, the handshake's
+/// included, leaves in a single write with `TCP_NODELAY` set.
 #[derive(Debug, Clone)]
 pub struct SocketExecutor {
     spec: String,
@@ -786,9 +771,9 @@ impl SocketExecutor {
 
     /// Sets the per-worker in-flight window (default 8, clamped to ≥ 1):
     /// how many unit lines are streamed ahead of results on one
-    /// connection.  1 restores the lock-step exchange; the negotiated
-    /// window is further capped by what the worker answers in the
-    /// `window=` handshake.
+    /// connection.  1 dispatches lock-step; the negotiated window is
+    /// further capped by what the worker answers in the `window=`
+    /// handshake.
     #[must_use]
     pub fn window(mut self, window: usize) -> Self {
         self.window = window.max(1);
@@ -878,14 +863,14 @@ impl SocketExecutor {
         shared: &FleetShared,
         deadline: Option<Instant>,
     ) {
-        let (mut reader, window) = match self.connect_worker(addr) {
-            ConnectOutcome::Ready(reader, window) => (reader, window.max(1)),
-            ConnectOutcome::Down(reason) => {
+        let (mut client, window) = match self.connect_worker(addr) {
+            Ok(ready) => ready,
+            Err(ConnectError::Down(reason)) => {
                 self.stats.failed_connects.fetch_add(1, Ordering::Relaxed);
                 shared.worker_down(&format!("worker {addr}: {reason}"));
                 return;
             }
-            ConnectOutcome::Rejected(reason) => {
+            Err(ConnectError::Rejected(reason)) => {
                 // A spec the worker refuses is a driver/worker configuration
                 // mismatch; no amount of reassignment fixes it.
                 shared.set_fatal(format!("worker {addr} rejected pipeline spec: {reason}"));
@@ -926,8 +911,7 @@ impl SocketExecutor {
                 };
                 let Some((slot, attempt)) = job else { break };
                 inflight.push_back((slot, attempt));
-                let mut stream = reader.get_ref();
-                if let Err(e) = writeln!(stream, "{}", units[slot].encode()) {
+                if let Err(e) = client.send(&units[slot].encode()) {
                     die(&mut inflight, format!("unit send failed: {e}"));
                     return;
                 }
@@ -937,7 +921,7 @@ impl SocketExecutor {
                 return;
             }
             self.stats.observe_inflight(inflight.len() as u64);
-            match self.receive(&mut reader) {
+            match self.receive(&mut client) {
                 Exchange::Completed(result) => {
                     let Some(at) = inflight
                         .iter()
@@ -971,122 +955,41 @@ impl SocketExecutor {
     }
 
     /// Connects to one worker address and performs the handshake (window
-    /// negotiation, then the pipeline spec).
-    fn connect_worker(&self, addr: &str) -> ConnectOutcome {
-        let addrs = match addr.to_socket_addrs() {
-            Ok(addrs) => addrs,
-            Err(e) => return ConnectOutcome::Down(format!("address did not resolve: {e}")),
-        };
-        let mut last_error = "address resolved to nothing".to_string();
-        for sock_addr in addrs {
-            match TcpStream::connect_timeout(&sock_addr, self.connect_timeout) {
-                Ok(stream) => return self.handshake(stream, &sock_addr),
-                Err(e) => last_error = format!("connect failed: {e}"),
-            }
-        }
-        ConnectOutcome::Down(last_error)
-    }
-
-    fn prepare(&self, stream: TcpStream) -> Result<BufReader<TcpStream>, String> {
-        if let Err(e) = stream.set_read_timeout(Some(self.liveness_timeout)) {
-            return Err(format!("set_read_timeout failed: {e}"));
-        }
-        let _ = stream.set_nodelay(true);
-        Ok(BufReader::new(stream))
-    }
-
-    fn handshake(&self, stream: TcpStream, sock_addr: &std::net::SocketAddr) -> ConnectOutcome {
-        let mut window = self.window.max(1);
-        let mut stream = stream;
-        if window > 1 {
-            match self.negotiate_window(stream) {
-                WindowOutcome::Negotiated(reader, peer) => {
-                    return self.spec_handshake(reader, window.min(peer.max(1)));
-                }
-                WindowOutcome::LockStep => {
-                    // The old peer closed the connection on the unknown
-                    // line; reconnect fresh and drive it lock-step.
-                    window = 1;
-                    match TcpStream::connect_timeout(sock_addr, self.connect_timeout) {
-                        Ok(fresh) => stream = fresh,
-                        Err(e) => {
-                            return ConnectOutcome::Down(format!(
-                                "reconnect for lock-step fallback failed: {e}"
-                            ));
-                        }
-                    }
-                }
-                WindowOutcome::Down(reason) => return ConnectOutcome::Down(reason),
-            }
-        }
-        let reader = match self.prepare(stream) {
-            Ok(reader) => reader,
-            Err(reason) => return ConnectOutcome::Down(reason),
-        };
-        self.spec_handshake(reader, window)
-    }
-
-    /// Sends `window=<n>` and classifies the peer: a streamed-protocol
-    /// worker answers `ok window=<m>`; an old lock-step worker rejects the
-    /// line (`!`-reply and/or close), which is the fallback signal.
-    fn negotiate_window(&self, stream: TcpStream) -> WindowOutcome {
-        let mut reader = match self.prepare(stream) {
-            Ok(reader) => reader,
-            Err(reason) => return WindowOutcome::Down(reason),
-        };
-        if let Err(e) = writeln!(reader.get_ref(), "window={}", self.window) {
-            return WindowOutcome::Down(format!("window send failed: {e}"));
-        }
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(0) => return WindowOutcome::LockStep,
-            Ok(_) => {}
-            Err(e) => return WindowOutcome::Down(format!("window negotiation read failed: {e}")),
-        }
-        let line = line.trim();
-        if line.starts_with('!') {
-            return WindowOutcome::LockStep;
-        }
-        match line
+    /// negotiation, then the pipeline spec); returns the connection and the
+    /// negotiated window.
+    fn connect_worker(&self, addr: &str) -> Result<(LineClient, usize), ConnectError> {
+        let down = |what: &str, e: std::io::Error| ConnectError::Down(format!("{what}: {e}"));
+        let mut client = LineClient::connect(addr, self.connect_timeout, self.liveness_timeout)
+            .map_err(|e| down("connect failed", e))?;
+        let reply = client
+            .round_trip(&format!("window={}", self.window))
+            .map_err(|e| down("window negotiation failed", e))?;
+        let granted = reply
             .strip_prefix("ok window=")
             .and_then(|m| m.parse::<usize>().ok())
-        {
-            Some(peer) => WindowOutcome::Negotiated(reader, peer),
-            None => WindowOutcome::Down(format!("unexpected window response {line:?}")),
+            .ok_or_else(|| ConnectError::Down(format!("unexpected window response {reply:?}")))?;
+        let reply = client
+            .round_trip(&self.spec)
+            .map_err(|e| down("handshake failed", e))?;
+        if let Some(reason) = reply.strip_prefix('!') {
+            return Err(ConnectError::Rejected(reason.to_string()));
         }
-    }
-
-    /// Sends the pipeline spec and awaits acceptance on a prepared
-    /// connection.
-    fn spec_handshake(&self, mut reader: BufReader<TcpStream>, window: usize) -> ConnectOutcome {
-        if let Err(e) = writeln!(reader.get_ref(), "{}", self.spec) {
-            return ConnectOutcome::Down(format!("spec send failed: {e}"));
+        if !reply.starts_with("ok") {
+            return Err(ConnectError::Down(format!(
+                "unexpected handshake response {reply:?}"
+            )));
         }
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(0) => return ConnectOutcome::Down("connection closed during handshake".to_string()),
-            Ok(_) => {}
-            Err(e) => return ConnectOutcome::Down(format!("handshake read failed: {e}")),
-        }
-        let line = line.trim();
-        if let Some(reason) = line.strip_prefix('!') {
-            return ConnectOutcome::Rejected(reason.to_string());
-        }
-        if line.starts_with("ok") {
-            ConnectOutcome::Ready(reader, window)
-        } else {
-            ConnectOutcome::Down(format!("unexpected handshake response {line:?}"))
-        }
+        Ok((client, self.window.min(granted.max(1))))
     }
 
     /// Reads one response line from an established connection.
-    fn receive(&self, reader: &mut BufReader<TcpStream>) -> Exchange {
-        let mut line = String::new();
+    fn receive(&self, client: &mut LineClient) -> Exchange {
         loop {
-            line.clear();
-            match reader.read_line(&mut line) {
-                Ok(0) => return Exchange::Death("connection closed (EOF) mid-stream".to_string()),
-                Ok(_) => {}
+            let line = match client.recv() {
+                Ok(line) => line,
+                Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
+                    return Exchange::Death("connection closed (EOF) mid-stream".to_string());
+                }
                 Err(e)
                     if e.kind() == std::io::ErrorKind::WouldBlock
                         || e.kind() == std::io::ErrorKind::TimedOut =>
@@ -1097,20 +1000,19 @@ impl SocketExecutor {
                     ));
                 }
                 Err(e) => return Exchange::Death(format!("read failed: {e}")),
-            }
-            let trimmed = line.trim();
-            if trimmed.is_empty() {
+            };
+            if line.is_empty() {
                 continue;
             }
-            if let Some(failure) = trimmed.strip_prefix('!') {
+            if let Some(failure) = line.strip_prefix('!') {
                 return Exchange::UnitFailed(format!("worker reported failure: {failure}"));
             }
             // Unlike local subprocess stdout, this connection carries only
             // protocol traffic: an undecodable line means the stream is
             // corrupt and the worker cannot be trusted with further units.
-            return match UnitResult::decode(trimmed) {
+            return match UnitResult::decode(&line) {
                 Ok(result) => Exchange::Completed(result),
-                Err(_) => Exchange::Death(format!("undecodable response line {trimmed:?}")),
+                Err(_) => Exchange::Death(format!("undecodable response line {line:?}")),
             };
         }
     }

@@ -13,7 +13,8 @@ use timing::{DelayModel, DepthHistogram, OperatingCondition};
 
 use crate::cache::{
     weights_fingerprint, workload_fingerprint, ArtifactKind, CacheStats, HistogramArtifact,
-    HistogramCache, HistogramCheck, HistogramKey, KeyCheck, ScheduleCache, ScheduleKey, UnitCache,
+    HistogramCheck, HistogramKey, KeyCheck, ScheduleArtifact, ScheduleKey, UnitArtifact,
+    VerifiedCache,
 };
 use crate::error::PipelineError;
 use crate::executor::{Executor, SerialExecutor, ThreadExecutor};
@@ -269,9 +270,9 @@ impl ReadPipelineBuilder {
             model: self.model,
             executor: self.executor.unwrap_or_else(|| Arc::new(SerialExecutor)),
             sweep_plan: self.sweep_plan,
-            cache: ScheduleCache::with_store(self.store.clone()),
-            hist_cache: HistogramCache::with_store(self.store.clone()),
-            unit_cache: UnitCache::with_store(self.store.clone()),
+            cache: VerifiedCache::with_store(self.store.clone()),
+            hist_cache: VerifiedCache::with_store(self.store.clone()),
+            unit_cache: VerifiedCache::with_store(self.store.clone()),
             store: self.store,
             prober: self
                 .prober
@@ -322,9 +323,9 @@ pub struct ReadPipeline {
     model: Option<Model>,
     executor: Arc<dyn Executor>,
     sweep_plan: Option<SweepPlan>,
-    cache: ScheduleCache,
-    hist_cache: HistogramCache,
-    unit_cache: UnitCache,
+    cache: VerifiedCache<ScheduleArtifact>,
+    hist_cache: VerifiedCache<HistogramArtifact>,
+    unit_cache: VerifiedCache<UnitArtifact>,
     store: Option<Arc<dyn ArtifactStore>>,
     prober: Arc<dyn DataflowProber>,
 }
@@ -421,7 +422,7 @@ impl ReadPipeline {
 
     /// The memoized unit-result cache (shared by every [`WorkPlan`] of this
     /// pipeline).
-    pub(crate) fn unit_cache(&self) -> &UnitCache {
+    pub(crate) fn unit_cache(&self) -> &VerifiedCache<UnitArtifact> {
         &self.unit_cache
     }
 
@@ -429,7 +430,14 @@ impl ReadPipeline {
     /// (schedules, histograms, memoized unit results) plus the attached
     /// artifact store's counters, when one is configured.
     pub fn cache_stats(&self) -> CacheStats {
-        let mut stats = self.cache.stats();
+        let (hits, misses, collisions, entries) = self.cache.counters();
+        let mut stats = CacheStats {
+            hits,
+            misses,
+            collisions,
+            entries,
+            ..CacheStats::default()
+        };
         let (hits, misses, collisions, entries) = self.hist_cache.counters();
         stats.hist_hits = hits;
         stats.hist_misses = misses;
@@ -607,7 +615,7 @@ impl ReadPipeline {
     ///
     /// Histograms are cached like schedules: the key covers the source
     /// fingerprint, the workload contents and the simulation context — see
-    /// [`HistogramCache`] — so a sweep simulates each (workload, source)
+    /// [`HistogramKey`] — so a sweep simulates each (workload, source)
     /// pair once and every further corner, die or repeated run reuses it
     /// ([`CacheStats::hist_hits`]).
     ///

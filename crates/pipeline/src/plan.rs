@@ -464,7 +464,7 @@ pub(crate) enum PlanKind<'a> {
 /// content hash and grid parameter a unit's result can depend on, rendered
 /// deterministically.  Two plans with equal signatures produce identical
 /// results for identical unit ids — which is exactly the contract the
-/// memoized unit-result cache ([`crate::cache::UnitCache`]) keys on.  The
+/// memoized unit-result cache ([`crate::cache::UnitArtifact`]) keys on.  The
 /// network label is deliberately excluded: it names reports, it never
 /// changes a unit's result.
 fn plan_signature(

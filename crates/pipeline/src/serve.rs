@@ -37,8 +37,8 @@
 //! [`ServeClient::shutdown`] give an in-process daemon for tests.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::io::{BufRead, Write};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -49,7 +49,7 @@ use read_core::SortCriterion;
 use timing::{DepthHistogram, OperatingCondition};
 
 use crate::cache::CacheStats;
-use crate::daemon::{Conn, DaemonHandle, Flow, LineDaemon, LineService};
+use crate::daemon::{Conn, DaemonHandle, Flow, LineClient, LineDaemon, LineService};
 use crate::error::PipelineError;
 use crate::exec::{resolve_threads, run_indexed_threads};
 use crate::executor::SocketExecutor;
@@ -1538,24 +1538,21 @@ impl ServeClient {
         Ok(ServeClient { addr })
     }
 
+    /// Sends `line` on a fresh connection and returns the reply lines up to
+    /// the `.` terminator.
     fn round_trip(&self, line: &str) -> Result<Vec<String>, PipelineError> {
-        let stream = TcpStream::connect(self.addr).map_err(|e| io_err("connect", e))?;
-        stream
-            .set_read_timeout(Some(Duration::from_secs(600)))
-            .map_err(|e| io_err("set_read_timeout", e))?;
-        let mut write_half = stream.try_clone().map_err(|e| io_err("clone stream", e))?;
-        writeln!(write_half, "{line}").map_err(|e| io_err("send", e))?;
-        write_half.flush().map_err(|e| io_err("send", e))?;
-        let reader = BufReader::new(stream);
+        let timeout = Duration::from_secs(600);
+        let mut client =
+            LineClient::connect(self.addr, timeout, timeout).map_err(|e| io_err("connect", e))?;
+        client.send(line).map_err(|e| io_err("send", e))?;
         let mut lines = Vec::new();
-        for read in reader.lines() {
-            let read = read.map_err(|e| io_err("receive", e))?;
+        loop {
+            let read = client.recv().map_err(|e| io_err("receive", e))?;
             if read == "." {
                 return Ok(lines);
             }
             lines.push(read);
         }
-        Err(PipelineError::exec("connection closed before terminator"))
     }
 
     fn expect_ok<'l>(lines: &'l [String], what: &str) -> Result<&'l str, PipelineError> {
@@ -1707,19 +1704,18 @@ struct WorkerShared {
 /// [`SocketExecutor`]):
 ///
 /// ```text
-/// ← window=<n>              (optional: streamed-protocol negotiation)
+/// ← window=<n>              (in-flight window offer, n ≥ 1)
 /// → ok window=<m>           (m = n clamped to [1, 1024])
-/// ← <req v1 spec line>      (or: ping / shutdown)
+/// ← <req v1 spec line>
 /// → ok units=<n>            (or "!<reason>" = spec rejected)
-/// ← <unit line>             (drivers may stream several ahead)
+/// ← <unit line>             (up to m streamed ahead of the results)
 /// → <unit-result line>      (or "!<reason>" = unit failed)
 /// ```
 ///
-/// Units are answered strictly in request order, one reply per unit line,
-/// so a pipelining driver can attribute in-band `!` failures to its oldest
-/// outstanding unit.  The negotiation line exists for interop: a driver
-/// that receives `!`/close instead of `ok window=` knows it is talking to
-/// an old lock-step worker and falls back to window 1.
+/// A connection may instead carry `ping` or `shutdown`.  Units are
+/// answered strictly in request order, one reply per unit line, so a
+/// pipelining driver can attribute in-band `!` failures to its oldest
+/// outstanding unit.
 pub struct WorkerServer {
     daemon: LineDaemon,
     shared: WorkerShared,
@@ -1797,22 +1793,15 @@ impl WorkerServer {
     /// Returns [`PipelineError::Exec`] on transport failure or an
     /// unexpected response.
     pub fn shutdown_at(addr: &str) -> Result<(), PipelineError> {
-        let stream = TcpStream::connect(addr).map_err(|e| io_err("connect", e))?;
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .map_err(|e| io_err("set_read_timeout", e))?;
-        let mut reader = BufReader::new(stream);
-        writeln!(reader.get_ref(), "shutdown").map_err(|e| io_err("send", e))?;
-        let mut line = String::new();
-        reader
-            .read_line(&mut line)
-            .map_err(|e| io_err("receive", e))?;
-        if line.trim() == "ok shutdown" {
+        let timeout = Duration::from_secs(30);
+        let reply = LineClient::connect(addr, timeout, timeout)
+            .and_then(|mut client| client.round_trip("shutdown"))
+            .map_err(|e| io_err("worker shutdown", e))?;
+        if reply == "ok shutdown" {
             Ok(())
         } else {
             Err(PipelineError::exec(format!(
-                "worker shutdown: unexpected response {:?}",
-                line.trim()
+                "worker shutdown: unexpected response {reply:?}"
             )))
         }
     }
@@ -2394,11 +2383,9 @@ mod tests {
     #[test]
     fn worker_rejects_a_bad_spec_in_band() {
         let handle = WorkerServer::spawn("127.0.0.1:0", WorkerConfig::default()).unwrap();
-        let stream = TcpStream::connect(handle.addr()).unwrap();
-        let mut reader = BufReader::new(stream);
-        writeln!(reader.get_ref(), "req v1 kind=nonsense").unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
+        let timeout = Duration::from_secs(10);
+        let mut client = LineClient::connect(handle.addr(), timeout, timeout).unwrap();
+        let line = client.round_trip("req v1 kind=nonsense").unwrap();
         assert!(line.starts_with('!'), "{line}");
         WorkerServer::shutdown_at(&handle.addr().to_string()).unwrap();
         handle.join().unwrap();

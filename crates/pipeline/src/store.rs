@@ -46,14 +46,14 @@
 use std::collections::HashMap;
 use std::fmt::Debug;
 use std::fs;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::io::Write;
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use crate::daemon::{Conn, DaemonHandle, Flow, LineDaemon, LineService};
+use crate::daemon::{Conn, DaemonHandle, Flow, LineClient, LineDaemon, LineService};
 use crate::error::PipelineError;
 use crate::plan::{escape_wire, unescape};
 
@@ -503,8 +503,6 @@ fn parse_entry(content: &str) -> Option<(&str, &str, &str)> {
 ///
 /// ```text
 /// ping                                                   → ok pong
-/// get kind=<esc> key=<16 hex> check=<esc>                → hit payload=<esc> | miss
-/// put kind=<esc> key=<16 hex> check=<esc> payload=<esc>  → ok
 /// mget count=<n> {kind=<esc> key=<16 hex> check=<esc>}×n → mres count=<n> {hit payload=<esc> | miss}×n
 /// mput count=<n> {kind=<esc> key=<16 hex> check=<esc> payload=<esc>}×n
 ///                                                        → ok count=<n>
@@ -514,9 +512,9 @@ fn parse_entry(content: &str) -> Option<(&str, &str, &str)> {
 /// anything else                                          → err msg=<esc>
 /// ```
 ///
-/// The batched `mget`/`mput` lines answer (or publish) `n` entries in one
-/// round trip — every field is a single escaped token, so the repeated
-/// groups parse unambiguously by position.
+/// `mget`/`mput` answer (or publish) `n` entries in one round trip — every
+/// field is a single escaped token, so the repeated groups parse
+/// unambiguously by position.  A single lookup or write is a batch of one.
 ///
 /// [`RemoteStore`] speaks the client side, [`StoreServer`] the daemon side
 /// (backed by any [`ArtifactStore`], typically a [`DiskStore`]).
@@ -534,24 +532,25 @@ fn parse_hex_key(value: &str) -> Option<u64> {
 /// publishes fleet-wide — the multi-machine form of the shared
 /// [`DiskStore`] directory.
 ///
-/// The client holds one lazily-established connection (reconnecting once
-/// per operation on a broken pipe) and keeps its own [`StoreStats`]: a
-/// transport failure degrades the lookup to a counted miss — the store
-/// contract is best-effort, so a dead daemon slows a fleet down but never
-/// fails it.
+/// The client holds one lazily-established connection (each request line
+/// in one write, `TCP_NODELAY` set; reconnecting once per operation on a
+/// broken pipe) and keeps its own [`StoreStats`]: a transport failure
+/// degrades the lookup to a counted miss — the store contract is
+/// best-effort, so a dead daemon slows a fleet down but never fails it.
 ///
 /// I/O is *batched*: `put` appends to a small write-behind buffer that is
 /// published as one `mput` line when it fills (and on
 /// [`ArtifactStore::flush`] — called at run boundaries and when a worker
 /// connection drains), and [`ArtifactStore::load_many`] answers a whole
-/// batch with one `mget` line.  Reads are read-your-writes: a `load`
-/// checks the unflushed buffer first, so buffering is invisible to the
-/// writing process; other clients observe the writes after the flush.
+/// batch with one `mget` line (`load` is a batch of one).  Reads are
+/// read-your-writes: a `load` checks the unflushed buffer first, so
+/// buffering is invisible to the writing process; other clients observe
+/// the writes after the flush.
 #[derive(Debug)]
 pub struct RemoteStore {
     addr: String,
     timeout: Duration,
-    conn: Mutex<Option<BufReader<TcpStream>>>,
+    conn: Mutex<Option<LineClient>>,
     counters: StoreCounters,
     write_behind: usize,
     buffer: Mutex<Vec<BufferedPut>>,
@@ -606,9 +605,8 @@ impl RemoteStore {
 
     /// Sets the write-behind buffer capacity (default 32): `put`s are
     /// buffered and published as one `mput` line when this many
-    /// accumulate, or on [`ArtifactStore::flush`].  `0` disables
-    /// buffering — every `put` is an immediate round trip, the pre-batched
-    /// behavior.
+    /// accumulate, or on [`ArtifactStore::flush`].  `0` publishes every
+    /// `put` at once, as a one-entry `mput`.
     #[must_use]
     pub fn write_behind(mut self, capacity: usize) -> RemoteStore {
         self.write_behind = capacity;
@@ -620,70 +618,33 @@ impl RemoteStore {
         &self.addr
     }
 
-    fn open_connection(&self) -> std::io::Result<BufReader<TcpStream>> {
-        let stream = TcpStream::connect(&self.addr)?;
-        stream.set_read_timeout(Some(self.timeout))?;
-        stream.set_write_timeout(Some(self.timeout))?;
-        Ok(BufReader::new(stream))
-    }
-
-    fn try_round_trip(
-        conn: &mut Option<BufReader<TcpStream>>,
-        line: &str,
-    ) -> std::io::Result<String> {
-        let reader = match conn {
-            Some(reader) => reader,
-            None => unreachable!("caller ensures a connection"),
-        };
-        let mut stream = reader.get_ref();
-        writeln!(stream, "{line}")?;
-        stream.flush()?;
-        let mut response = String::new();
-        if reader.read_line(&mut response)? == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "store daemon closed the connection",
-            ));
-        }
-        Ok(response.trim().to_string())
-    }
-
     /// One request/response exchange, transparently reconnecting once — a
     /// daemon restart between operations otherwise turns the first use of
     /// the stale connection into a spurious miss.
     fn round_trip(&self, line: &str) -> Result<String, PipelineError> {
         let mut conn = self.conn.lock().unwrap_or_else(|p| p.into_inner());
-        for attempt in 0..2 {
-            if conn.is_none() {
-                match self.open_connection() {
-                    Ok(fresh) => *conn = Some(fresh),
-                    Err(e) if attempt == 0 => {
-                        let _ = e;
+        let mut last = String::new();
+        for _ in 0..2 {
+            let mut client = match conn.take() {
+                Some(client) => client,
+                None => match LineClient::connect(self.addr.as_str(), self.timeout, self.timeout) {
+                    Ok(client) => client,
+                    Err(e) => {
+                        last = format!("connect failed: {e}");
                         continue;
                     }
-                    Err(e) => {
-                        return Err(PipelineError::exec(format!(
-                            "remote store {}: connect failed: {e}",
-                            self.addr
-                        )))
-                    }
+                },
+            };
+            match client.round_trip(line) {
+                Ok(response) => {
+                    *conn = Some(client);
+                    return Ok(response);
                 }
-            }
-            match Self::try_round_trip(&mut conn, line) {
-                Ok(response) => return Ok(response),
-                Err(e) => {
-                    *conn = None;
-                    if attempt > 0 {
-                        return Err(PipelineError::exec(format!(
-                            "remote store {}: {e}",
-                            self.addr
-                        )));
-                    }
-                }
+                Err(e) => last = e.to_string(),
             }
         }
         Err(PipelineError::exec(format!(
-            "remote store {}: unreachable",
+            "remote store {}: {last}",
             self.addr
         )))
     }
@@ -828,60 +789,17 @@ impl ArtifactStore for RemoteStore {
     }
 
     fn load(&self, kind: &str, key: u64, check: &str) -> Option<String> {
-        if let Some(payload) = self.buffered(kind, key, check) {
-            self.counters.hits.fetch_add(1, Ordering::Relaxed);
-            return Some(payload);
-        }
-        let line = format!(
-            "get kind={} key={key:016x} check={}",
-            escape_wire(kind),
-            escape_wire(check)
-        );
-        let response = match self.round_trip(&line) {
-            Ok(response) => response,
-            Err(_) => {
-                // Transport failure degrades to a miss: the artifact is
-                // recomputed, never an error.
-                self.counters.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
+        let request = StoreRequest {
+            kind: kind.to_string(),
+            key,
+            check: check.to_string(),
         };
-        if response == "miss" {
-            self.counters.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        let payload = response
-            .starts_with("hit ")
-            .then(|| wire_field(&response, "payload="))
+        self.load_many(std::slice::from_ref(&request))
+            .pop()
             .flatten()
-            .and_then(|escaped| unescape(escaped, &response).ok());
-        match payload {
-            Some(payload) => {
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                Some(payload)
-            }
-            None => {
-                // A garbled response is treated like a corrupt entry.
-                self.counters.misses.fetch_add(1, Ordering::Relaxed);
-                self.counters.corrupt.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
     }
 
     fn put(&self, kind: &str, key: u64, check: &str, payload: &str) {
-        if self.write_behind == 0 {
-            let line = format!(
-                "put kind={} key={key:016x} check={} payload={}",
-                escape_wire(kind),
-                escape_wire(check),
-                escape_wire(payload)
-            );
-            if matches!(self.round_trip(&line).as_deref(), Ok("ok")) {
-                self.counters.writes.fetch_add(1, Ordering::Relaxed);
-            }
-            return;
-        }
         let full = {
             let mut buffer = self.buffer.lock().unwrap_or_else(|p| p.into_inner());
             buffer.push(BufferedPut {
@@ -930,7 +848,7 @@ impl ArtifactStore for RemoteStore {
                 ));
             }
             // A transport/protocol failure leaves the whole chunk as
-            // counted misses, same as a single get.
+            // counted misses.
             let batch = self
                 .round_trip(&line)
                 .ok()
@@ -1045,26 +963,6 @@ impl LineService for StoreServer {
                 let _ = writeln!(writer, "ok shutdown");
                 return Flow::Shutdown;
             }
-            Some("get") => match Self::decode_entry_fields(line, false) {
-                Some((kind, key, check, _)) => {
-                    match self.store.load(&kind, key, &check) {
-                        Some(payload) => {
-                            let _ = writeln!(writer, "hit payload={}", escape_wire(&payload));
-                        }
-                        None => {
-                            let _ = writeln!(writer, "miss");
-                        }
-                    };
-                }
-                None => reply_err(writer, &format!("malformed get {line:?}")),
-            },
-            Some("put") => match Self::decode_entry_fields(line, true) {
-                Some((kind, key, check, Some(payload))) => {
-                    self.store.put(&kind, key, &check, &payload);
-                    let _ = writeln!(writer, "ok");
-                }
-                _ => reply_err(writer, &format!("malformed put {line:?}")),
-            },
             Some("mget") => match Self::decode_batch(line, false) {
                 Some(entries) => {
                     let requests: Vec<StoreRequest> = entries
@@ -1116,24 +1014,6 @@ impl LineService for StoreServer {
 }
 
 impl StoreServer {
-    /// Decodes `kind=`/`key=`/`check=` (and, for puts, `payload=`) from a
-    /// request line.
-    #[allow(clippy::type_complexity)]
-    fn decode_entry_fields(
-        line: &str,
-        want_payload: bool,
-    ) -> Option<(String, u64, String, Option<String>)> {
-        let kind = unescape(wire_field(line, "kind=")?, line).ok()?;
-        let key = parse_hex_key(wire_field(line, "key=")?)?;
-        let check = unescape(wire_field(line, "check=")?, line).ok()?;
-        let payload = if want_payload {
-            Some(unescape(wire_field(line, "payload=")?, line).ok()?)
-        } else {
-            None
-        };
-        Some((kind, key, check, payload))
-    }
-
     /// Decodes an `mget`/`mput` batch line: `count=<n>` followed by `n`
     /// positional `kind=`/`key=`/`check=` (and, for `mput`, `payload=`)
     /// groups — every field is one escaped token, so position is identity.
@@ -1183,6 +1063,14 @@ mod tests {
         ));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// A raw wire session with a store daemon: one request line in, one
+    /// trimmed reply line out.
+    fn raw_client(handle: &StoreHandle) -> impl FnMut(&str) -> String {
+        let timeout = Duration::from_secs(10);
+        let mut client = LineClient::connect(handle.addr(), timeout, timeout).unwrap();
+        move |line| client.round_trip(line).unwrap()
     }
 
     #[test]
@@ -1415,6 +1303,31 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Each lookup must leave in one segment: a request split over two
+    /// writes on a Nagle socket waits out the daemon's delayed ACK, about
+    /// 40 ms per round trip instead of well under one.
+    #[test]
+    fn remote_store_round_trips_do_not_wait_on_delayed_acks() {
+        let handle = StoreServer::spawn("127.0.0.1:0", Arc::new(MemoryStore::new()) as _).unwrap();
+        let remote = handle.client().write_behind(0);
+        remote.put("unit", 1, "c", "payload");
+        let mut rtts: Vec<Duration> = (0..20)
+            .map(|_| {
+                let start = std::time::Instant::now();
+                assert_eq!(remote.load("unit", 1, "c").as_deref(), Some("payload"));
+                start.elapsed()
+            })
+            .collect();
+        rtts.sort();
+        let median = rtts[rtts.len() / 2];
+        assert!(
+            median < Duration::from_millis(10),
+            "median store round trip {median:?}: requests are waiting on delayed ACKs"
+        );
+        remote.shutdown_daemon().unwrap();
+        handle.join().unwrap();
+    }
+
     #[test]
     fn remote_store_batches_load_many_across_chunks() {
         let backing = Arc::new(MemoryStore::new());
@@ -1516,7 +1429,7 @@ mod tests {
         }
         assert_eq!(backing.len(), 3);
 
-        // write_behind(0) restores the pre-batched immediate puts.
+        // write_behind(0) publishes every put at once, as a one-entry mput.
         let eager = handle.client().write_behind(0);
         eager.put("unit", 4, "c", "four");
         assert_eq!(backing.len(), 4);
@@ -1528,15 +1441,7 @@ mod tests {
     #[test]
     fn store_daemon_answers_batched_wire_lines_positionally() {
         let handle = StoreServer::spawn("127.0.0.1:0", Arc::new(MemoryStore::new()) as _).unwrap();
-        let stream = TcpStream::connect(handle.addr()).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut ask = |line: &str| {
-            writeln!(&stream, "{line}").unwrap();
-            (&stream).flush().unwrap();
-            let mut response = String::new();
-            reader.read_line(&mut response).unwrap();
-            response.trim_end_matches('\n').to_string()
-        };
+        let mut ask = raw_client(&handle);
         assert_eq!(
             ask(
                 "mput count=2 kind=unit key=0000000000000001 check=c payload=one\\stwo \
@@ -1582,16 +1487,11 @@ mod tests {
     #[test]
     fn store_daemon_rejects_malformed_lines_in_band() {
         let handle = StoreServer::spawn("127.0.0.1:0", Arc::new(MemoryStore::new()) as _).unwrap();
-        let stream = TcpStream::connect(handle.addr()).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut ask = |line: &str| {
-            writeln!(&stream, "{line}").unwrap();
-            (&stream).flush().unwrap();
-            let mut response = String::new();
-            reader.read_line(&mut response).unwrap();
-            response.trim().to_string()
-        };
-        assert!(ask("get kind=unit").starts_with("err msg="));
+        let mut ask = raw_client(&handle);
+        assert!(ask("mget count=1 kind=unit").starts_with("err msg="));
+        assert!(ask("mput count=x kind=unit").starts_with("err msg="));
+        // There is no single-entry verb: a lookup is a batch of one.
+        assert_eq!(ask("get kind=unit"), "err msg=unknown\\scommand");
         assert!(ask("put kind=unit key=zz check=c payload=p").starts_with("err msg="));
         assert!(ask("warp").starts_with("err msg="));
         // The connection survives protocol errors.

@@ -21,7 +21,7 @@
 //! ```
 //!
 //! `--window N` sets the per-worker in-flight dispatch window (default 8;
-//! 1 reproduces the original lock-step protocol).
+//! 1 dispatches lock-step over the same `window=` handshake).
 
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;

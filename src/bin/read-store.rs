@@ -1,8 +1,8 @@
 //! `read-store` — the shared artifact-store daemon for a worker fleet.
 //!
 //! Serves the content-addressed `ArtifactStore` namespace (schedules,
-//! histograms, memoized unit results) over a line-delimited TCP GET/PUT
-//! protocol, backed by a `DiskStore` directory.  Drivers and `read-worker`
+//! histograms, memoized unit results) over a line-delimited TCP protocol
+//! of batched `mget`/`mput` lines, backed by a `DiskStore` directory.  Drivers and `read-worker`
 //! processes attach with `RemoteStore` / `--store-addr`, so the whole fleet
 //! shares one warm cache and exactly-once computation holds across
 //! machines.

@@ -230,6 +230,42 @@ fn flaky_socket_transport_reaggregates_or_fails_loudly() {
 
 // ---- windowed dispatch ----------------------------------------------------
 
+/// The window handshake is mandatory: a peer that answers `window=8` with
+/// anything but `ok window=<m>` — here the `!unknown command` a worker
+/// without windowed dispatch would send — is a failed connect.  With no
+/// other worker the run fails loudly, naming the peer's reply, and no unit
+/// is reported complete.
+#[test]
+fn a_peer_that_refuses_the_window_handshake_is_a_failed_connect() {
+    use std::io::{BufRead, BufReader, Write};
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let peer = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        let mut offer = String::new();
+        BufReader::new(&stream).read_line(&mut offer).unwrap();
+        (&stream).write_all(b"!unknown command\n").unwrap();
+        offer
+    });
+
+    let request = fleet_request("fleet-refused-window");
+    let executor = SocketExecutor::new(request.encode(), [addr]).window(8);
+    let stats = executor.stats();
+    let (pipeline, workloads) = fleet_pipeline(&request, Arc::new(MemoryStore::new()), executor);
+    let err = pipeline
+        .run_sweep(&request.network, &workloads)
+        .expect_err("a refused handshake must fail the run")
+        .to_string();
+
+    assert_eq!(peer.join().unwrap(), "window=8\n");
+    assert_eq!(stats.failed_connects(), 1);
+    assert!(
+        err.contains("!unknown command"),
+        "the error must carry the peer's reply: {err}"
+    );
+    assert_eq!(stats.completed_units(), 0);
+}
+
 /// A TCP forwarder that holds each accepted connection for `delay` before
 /// dialing `upstream` — it hands the other worker a deterministic head
 /// start at claiming units, without touching the bytes.
